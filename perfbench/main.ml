@@ -9,8 +9,9 @@
    arguments through. Every workload is a closed loop with one client:
    a task is set up -> learn -> update stream, and the next task starts
    when the previous one has finished. A run does a fixed number of
-   tasks, --seconds over the workload's nominal task time (at least
-   one), so that every run of a workload does the same work. The last
+   tasks, the count whose measured length comes closest to --seconds
+   (at least one), so that every run of a workload does the same work
+   on a given host. The last
    line of standard output is one JSON object with the keys correct,
    attempted, failed and metrics: the end-to-end metrics with
    --trace 0, the per-layer ones with --trace 1. *)
@@ -110,6 +111,76 @@ module Trace = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* What the per-layer metrics count                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The Obs instruments and GC statistics the per-layer metrics read.
+   They cover the traced task's own work: one setup, the learn and the
+   update stream. The correctness gates run under [uncounted], which
+   takes what they add back out, so a gate's rebuild or signature does
+   not pass for layer time. *)
+module Counted = struct
+  let counters =
+    [
+      "ilp.saturations"; "ilp.coverage.delta_applied"; "columnar.pushdown_hits";
+      "columnar.pushdowns"; "ilp.coverage_vectors"; "ilp.cache_hits";
+      "ilp.coverage.cache_misses"; "ilp.coverage.full_refreshes";
+      "ilp.saturation.delta_rounds"; "ilp.coverage.cache_patches";
+      "ilp.coverage.key_builds"; "ilp.coverage.decomp_memo_hits";
+      "ilp.coverage.batch_eligible"; "ilp.planner.decisions";
+      "ilp.planner.choice.semijoin"; "ilp.planner.est_cost"; "ilp.planner.actual_cost";
+      "algebra.semijoin.rows_scanned"; "algebra.semijoin.leapfrog_seeks";
+      "algebra.semijoin.wide_bags"; "logic.subsume.calls"; "logic.subsume.steps";
+      "logic.subsume.ac_scans"; "logic.subsume.restarts"; "ilp.armg_calls";
+      "ilp.blocking_removals"; "ilp.parallel.tasks"; "ilp.parallel.chunks";
+    ]
+
+  let spans =
+    [
+      "ilp.bottom.saturation"; "ilp.coverage.vector"; "ilp.coverage.covers";
+      "algebra.semijoin.batch"; "ilp.armg.generalize";
+    ]
+
+  let read () =
+    let g = Gc.quick_stat () in
+    List.map (fun n -> (n, float_of_int (Obs.Counter.value (Obs.Counter.create n)))) counters
+    @ List.map (fun n -> (n, Obs.Span.total_s (Obs.Span.create n))) spans
+    @ [
+        ("gc.words", g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words);
+        ("gc.minor_collections", float_of_int g.Gc.minor_collections);
+        ("gc.major_collections", float_of_int g.Gc.major_collections);
+      ]
+
+  (* what is not counted: the reading at [start] plus the gates' share *)
+  let excluded : (string, float) Hashtbl.t = Hashtbl.create 64
+
+  let excluded_of n = Option.value ~default:0. (Hashtbl.find_opt excluded n)
+
+  let start () =
+    Hashtbl.reset excluded;
+    List.iter (fun (n, x) -> Hashtbl.replace excluded n x) (read ())
+
+  let uncounted f =
+    if not !Trace.on then f ()
+    else begin
+      let before = read () in
+      let r = f () in
+      List.iter2
+        (fun (n, a) (_, b) -> Hashtbl.replace excluded n (excluded_of n +. b -. a))
+        before (read ());
+      r
+    end
+
+  (* [value n] is what the counted work added to instrument [n] *)
+  let value () =
+    let now = read () in
+    fun n ->
+      match List.assoc_opt n now with
+      | Some x -> x -. excluded_of n
+      | None -> invalid_arg ("Counted.value: " ^ n)
+end
+
+(* ------------------------------------------------------------------ *)
 (* Task building blocks                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -138,9 +209,15 @@ type task = {
    that they do not pile up in the heap *)
 let keep ctx = if !Trace.on then [ ctx ] else []
 
-(* Each setup is repeated and its median kept: one preparation is
-   short enough that scheduling noise would dominate a single sample. *)
-let setup_repeats = 5
+(* One preparation takes from about 70 ms (UW-CSE) to half a second
+   (HIV-Large), short enough that scheduling noise dominates a single
+   sample. Each setup is therefore repeated until [setup_min_s] has gone
+   by, and at least [setup_min_repeats] times; the median sample is the
+   task's setup time. The traced task prepares once: its setup time is
+   not reported, and the repeats would only swell the layer counters. *)
+let setup_min_s = 1.0
+
+let setup_min_repeats = 3
 
 let castor ~domains =
   Algos.castor ~params:{ Castor.default_params with domains } ()
@@ -181,7 +258,8 @@ let requery (prep : Experiment.prepared) clauses () =
    Every sample starts from a compacted heap; the last preparation is
    the one the task goes on with. *)
 let prepare ~spec ?(extra = fun _ -> ()) ds variant =
-  let rec go k samples =
+  let t_all = now_ns () in
+  let rec go samples =
     Gc.compact ();
     let t0 = now_ns () in
     let prep =
@@ -190,9 +268,12 @@ let prepare ~spec ?(extra = fun _ -> ()) ds variant =
     in
     extra prep;
     let samples = since t0 :: samples in
-    if k <= 1 then (prep, median samples) else go (k - 1) samples
+    let n = List.length samples in
+    if !Trace.on || (n >= setup_min_repeats && since t_all >= setup_min_s) then
+      (prep, median samples)
+    else go samples
   in
-  go setup_repeats []
+  go []
 
 let learn ~domains prep =
   let t0 = now_ns () and c0 = cpu_s () in
@@ -252,12 +333,16 @@ let stratified_stream ~seed ~steps inst examples =
 
 (* One delta per step through the backend's delta API, then the reads
    that must see it. Returns the per-step latencies (ms) and the
-   stream's total time (s). The stream is drawn before timing starts. *)
+   stream's total time (s). The stream is drawn, and the heap compacted,
+   before timing starts, so that the steps do not pay the collector's
+   debt from the learn before them: with two domains that debt varies
+   from run to run. *)
 let stream ~seed ~steps (ds : Dataset.t) (prep : Experiment.prepared) requery
     =
   let inst = prep.Experiment.pvariant.Dataset.vinstance in
   let deltas = stratified_stream ~seed ~steps inst ds.Dataset.examples in
   let b = Backend.of_instance inst in
+  Gc.compact ();
   let t_all = now_ns () in
   let lat =
     Trace.span "stream" (fun () ->
@@ -281,7 +366,9 @@ type workload = {
   name : string;
   warmup : unit -> unit;
   run_task : seed:int -> int -> task;
-  task_s : int;  (** nominal time of one task on a 2-core x86 VM *)
+  task_s : float;
+      (** measured wall time of one task on a 2-vCPU x86 VM (Intel Xeon);
+          it turns --seconds into a task count *)
 }
 
 (* -- hiv-large-learn: the coverage-bound learn ----------------------- *)
@@ -293,7 +380,10 @@ type workload = {
    runner's fixed sampling seed. *)
 let hiv_digest = "1c5cb9a2ac4bb369040a38cac21185d2"
 
-let hiv_steps = 100
+(* 200 updates a task: a third of them re-saturate every example and
+   take some 250 ms, the rest take 2 to 7 ms, so the median lies where
+   the cheap steps thin out and needs many samples to settle *)
+let hiv_steps = 200
 
 let hiv () =
   let domains = min 2 (Domain.recommended_domain_count ()) in
@@ -336,7 +426,7 @@ let hiv () =
       ctxs = keep { ds; variant = "initial"; spec; prep; def; seeds; probes };
     }
   in
-  { name = "hiv-large-learn"; warmup; run_task; task_s = 20 }
+  { name = "hiv-large-learn"; warmup; run_task; task_s = 32. }
 
 (* -- uwcse-schemas: schema independence across substrates ----------- *)
 
@@ -364,7 +454,7 @@ let schemas () =
               let ds = Uwcse.generate () in
               let prep, setup_s = prepare ~spec ds variant in
               let def, learn_s, learn_cpu_s = learn ~domains:1 prep in
-              let signature = Experiment.signature prep def in
+              let signature = Counted.uncounted (fun () -> Experiment.signature prep def) in
               let seeds, probes = probes_of ~seed prep.Experiment.all_pos in
               let updates_ms, stream_s =
                 stream
@@ -417,12 +507,12 @@ let schemas () =
       ctxs = List.concat_map (fun t -> t.ctxs) tasks;
     }
   in
-  { name = "uwcse-schemas"; warmup = uwcse_warmup Backend.Columnar; run_task; task_s = 40 }
+  { name = "uwcse-schemas"; warmup = uwcse_warmup Backend.Columnar; run_task; task_s = 39. }
 
 (* -- uwcse-stream: writes beside reads -------------------------------- *)
 
-(* 120 updates a task; a 30-second run fits about four tasks, which
-   puts some fifty samples beyond p90 *)
+(* 120 updates a task; a 30-second run does four tasks, which puts
+   some fifty samples beyond p90 *)
 let stream_steps = 120
 
 let uwcse_stream () =
@@ -446,16 +536,19 @@ let uwcse_stream () =
     let full = Obs.Counter.value Coverage.c_full_refreshes - full0 in
     (* incremental == rebuild: the patched vectors against coverage
        built from scratch on the mutated instance *)
-    let v = prep.Experiment.pvariant in
-    let plan = Plan.build ~mode:`Equality_only v.Dataset.vschema in
-    let fresh =
-      Coverage.build
-        ~expand:(fun rel tu -> Plan.expand plan v.Dataset.vinstance rel tu)
-        ~backend:spec ~params:prep.Experiment.bottom_params v.Dataset.vinstance
-        ds.Dataset.examples.Examples.pos
+    let patched, rebuilt =
+      Counted.uncounted (fun () ->
+          let v = prep.Experiment.pvariant in
+          let plan = Plan.build ~mode:`Equality_only v.Dataset.vschema in
+          let fresh =
+            Coverage.build
+              ~expand:(fun rel tu -> Plan.expand plan v.Dataset.vinstance rel tu)
+              ~backend:spec ~params:prep.Experiment.bottom_params v.Dataset.vinstance
+              ds.Dataset.examples.Examples.pos
+          in
+          ( List.map (Coverage.vector prep.Experiment.all_pos) probes,
+            List.map (Coverage.vector fresh) probes ))
     in
-    let patched = List.map (Coverage.vector prep.Experiment.all_pos) probes in
-    let rebuilt = List.map (Coverage.vector fresh) probes in
     {
       setup_s;
       learn_s;
@@ -468,7 +561,7 @@ let uwcse_stream () =
       ctxs = keep { ds; variant = "original"; spec; prep; def; seeds; probes };
     }
   in
-  { name = "uwcse-stream"; warmup = uwcse_warmup spec; run_task; task_s = 7 }
+  { name = "uwcse-stream"; warmup = uwcse_warmup spec; run_task; task_s = 8.5 }
 
 let workloads = [ ("hiv-large-learn", hiv); ("uwcse-schemas", schemas); ("uwcse-stream", uwcse_stream) ]
 
@@ -558,10 +651,6 @@ type metric = { mname : string; unit_ : string; value : float }
 
 let m mname unit_ value = { mname; unit_; value }
 
-let counter name = float_of_int (Obs.Counter.value (Obs.Counter.create name))
-
-let span_s name = Obs.Span.total_s (Obs.Span.create name)
-
 let ratio a b = if b > 0. then a /. b else 0.
 
 let mb words = words *. float_of_int (Sys.word_size / 8) /. 1e6
@@ -583,49 +672,47 @@ let end_to_end (tasks : task list) =
    instrument. Obs span totals nest (ilp.armg.generalize contains
    ilp.coverage.covers), so they are reported as inclusive times and
    never summed. *)
-let obs_layers (gc0 : Gc.stat) =
-  let gc1 = Gc.quick_stat () in
-  let words (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
+let obs_layers () =
+  let v = Counted.value () in
   [
-    m "bottom.saturation_incl_s" "s" (span_s "ilp.bottom.saturation");
-    m "bottom.saturations" "count" (counter "ilp.saturations");
-    m "deltas.applied" "count" (counter "ilp.coverage.delta_applied");
+    m "bottom.saturation_incl_s" "s" (v "ilp.bottom.saturation");
+    m "bottom.saturations" "count" (v "ilp.saturations");
+    m "deltas.applied" "count" (v "ilp.coverage.delta_applied");
     m "columnar.pushdown_hit_ratio" "ratio"
-      (ratio (counter "columnar.pushdown_hits") (counter "columnar.pushdowns"));
-    m "coverage.vector_incl_s" "s" (span_s "ilp.coverage.vector");
-    m "coverage.covers_incl_s" "s" (span_s "ilp.coverage.covers");
-    m "coverage.vectors" "count" (counter "ilp.coverage_vectors");
+      (ratio (v "columnar.pushdown_hits") (v "columnar.pushdowns"));
+    m "coverage.vector_incl_s" "s" (v "ilp.coverage.vector");
+    m "coverage.covers_incl_s" "s" (v "ilp.coverage.covers");
+    m "coverage.vectors" "count" (v "ilp.coverage_vectors");
     m "coverage.cache_hit_ratio" "ratio"
-      (let hits = counter "ilp.cache_hits" in
-       ratio hits (hits +. counter "ilp.coverage.cache_misses"));
-    m "coverage.full_refreshes" "count" (counter "ilp.coverage.full_refreshes");
-    m "coverage.delta_rounds" "count" (counter "ilp.saturation.delta_rounds");
-    m "coverage.cache_patches" "count" (counter "ilp.coverage.cache_patches");
-    m "coverage.key_builds" "count" (counter "ilp.coverage.key_builds");
+      (let hits = v "ilp.cache_hits" in
+       ratio hits (hits +. v "ilp.coverage.cache_misses"));
+    m "coverage.full_refreshes" "count" (v "ilp.coverage.full_refreshes");
+    m "coverage.delta_rounds" "count" (v "ilp.saturation.delta_rounds");
+    m "coverage.cache_patches" "count" (v "ilp.coverage.cache_patches");
+    m "coverage.key_builds" "count" (v "ilp.coverage.key_builds");
     m "coverage.decomp_memo_hit_ratio" "ratio"
-      (ratio (counter "ilp.coverage.decomp_memo_hits")
-         (counter "ilp.coverage.batch_eligible"));
-    m "planner.decisions" "count" (counter "ilp.planner.decisions");
+      (ratio (v "ilp.coverage.decomp_memo_hits") (v "ilp.coverage.batch_eligible"));
+    m "planner.decisions" "count" (v "ilp.planner.decisions");
     m "planner.semijoin_share" "ratio"
-      (ratio (counter "ilp.planner.choice.semijoin") (counter "ilp.planner.decisions"));
+      (ratio (v "ilp.planner.choice.semijoin") (v "ilp.planner.decisions"));
     m "planner.est_actual_ratio" "ratio"
-      (ratio (counter "ilp.planner.est_cost") (counter "ilp.planner.actual_cost"));
-    m "algebra.semijoin_incl_s" "s" (span_s "algebra.semijoin.batch");
-    m "algebra.rows_scanned" "count" (counter "algebra.semijoin.rows_scanned");
-    m "algebra.leapfrog_seeks" "count" (counter "algebra.semijoin.leapfrog_seeks");
-    m "algebra.wide_bags" "count" (counter "algebra.semijoin.wide_bags");
-    m "subsume.calls" "count" (counter "logic.subsume.calls");
-    m "subsume.steps" "count" (counter "logic.subsume.steps");
-    m "subsume.ac_scans" "count" (counter "logic.subsume.ac_scans");
-    m "subsume.restarts" "count" (counter "logic.subsume.restarts");
-    m "armg.generalize_incl_s" "s" (span_s "ilp.armg.generalize");
-    m "armg.calls" "count" (counter "ilp.armg_calls");
-    m "armg.blocking_removals" "count" (counter "ilp.blocking_removals");
-    m "parallel.tasks" "count" (counter "ilp.parallel.tasks");
-    m "parallel.chunks" "count" (counter "ilp.parallel.chunks");
-    m "gc.allocated_mb" "MB" (mb (words gc1 -. words gc0));
-    m "gc.minor_collections" "count" (float_of_int (gc1.Gc.minor_collections - gc0.Gc.minor_collections));
-    m "gc.major_collections" "count" (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections));
+      (ratio (v "ilp.planner.est_cost") (v "ilp.planner.actual_cost"));
+    m "algebra.semijoin_incl_s" "s" (v "algebra.semijoin.batch");
+    m "algebra.rows_scanned" "count" (v "algebra.semijoin.rows_scanned");
+    m "algebra.leapfrog_seeks" "count" (v "algebra.semijoin.leapfrog_seeks");
+    m "algebra.wide_bags" "count" (v "algebra.semijoin.wide_bags");
+    m "subsume.calls" "count" (v "logic.subsume.calls");
+    m "subsume.steps" "count" (v "logic.subsume.steps");
+    m "subsume.ac_scans" "count" (v "logic.subsume.ac_scans");
+    m "subsume.restarts" "count" (v "logic.subsume.restarts");
+    m "armg.generalize_incl_s" "s" (v "ilp.armg.generalize");
+    m "armg.calls" "count" (v "ilp.armg_calls");
+    m "armg.blocking_removals" "count" (v "ilp.blocking_removals");
+    m "parallel.tasks" "count" (v "ilp.parallel.tasks");
+    m "parallel.chunks" "count" (v "ilp.parallel.chunks");
+    m "gc.allocated_mb" "MB" (mb (v "gc.words"));
+    m "gc.minor_collections" "count" (v "gc.minor_collections");
+    m "gc.major_collections" "count" (v "gc.major_collections");
   ]
 
 let replay_layers get =
@@ -665,27 +752,41 @@ let result_line ~correct ~attempted ~failed metrics =
 let fix_gc () =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 262_144; space_overhead = 120 }
 
+(* the host's 1-minute load average, read when the run starts; NaN
+   where /proc/loadavg cannot be read *)
+let load_avg_1m () =
+  match In_channel.with_open_text "/proc/loadavg" In_channel.input_line with
+  | Some line -> ( try Scanf.sscanf line "%f" Fun.id with Scanf.Scan_failure _ | Failure _ | End_of_file -> nan)
+  | None -> nan
+  | exception Sys_error _ -> nan
+
 let between_tasks () =
   Obs.reset ();
   Gc.compact ()
 
 (* A task that raises counts as failed, with the exception as reason. *)
 let attempt w ~seed k =
-  try Ok (w.run_task ~seed k) with
-  | (Out_of_memory | Stack_overflow) as e -> raise e
-  | e -> Error (Printexc.to_string e)
+  let t0 = now_ns () in
+  let r =
+    try Ok (w.run_task ~seed k) with
+    | (Out_of_memory | Stack_overflow) as e -> raise e
+    | e -> Error (Printexc.to_string e)
+  in
+  Printf.printf "task %d done in %.1f s\n%!" k (since t0);
+  r
+
+(* where the traced run writes its Chrome trace, relative to the
+   checkout root the benchmark runs from *)
+let trace_dir = Filename.concat "perfbench" "out"
 
 let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 20 and trace = ref 0 in
-  let loadavg = ref nan and trace_out = ref "" in
   Arg.parse
     [
       ("--workload", Arg.Set_string workload, "NAME workload to run");
       ("--seed", Arg.Set_int seed, "N input seed");
       ("--seconds", Arg.Set_int seconds, "S measuring time");
       ("--trace", Arg.Set_int trace, "0|1 end-to-end (0) or traced per-layer run (1)");
-      ("--loadavg", Arg.Set_float loadavg, "X 1-minute load average at start");
-      ("--trace-out", Arg.Set_string trace_out, "FILE Chrome trace of the traced run");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "main.exe --workload NAME --seed N --seconds S --trace 0|1";
@@ -698,12 +799,13 @@ let () =
         exit 2
   in
   fix_gc ();
+  let loadavg = load_avg_1m () in
   Printf.printf "workload %s seed %d seconds %d trace %d; load average %.2f\n%!"
-    w.name !seed !seconds !trace !loadavg;
+    w.name !seed !seconds !trace loadavg;
   w.warmup ();
   (* The traced run needs only one untraced task, the baseline of the
      tracing overhead. *)
-  let n_tasks = if !trace = 1 then 1 else max 1 (!seconds / w.task_s) in
+  let n_tasks = if !trace = 1 then 1 else max 1 (Float.to_int (Float.round (float_of_int !seconds /. w.task_s))) in
   let results =
     List.init n_tasks (fun k ->
         between_tasks ();
@@ -715,10 +817,10 @@ let () =
       between_tasks ();
       Trace.on := true;
       Trace.task := List.length results;
-      let gc0 = Gc.quick_stat () in
+      Counted.start ();
       let r = attempt w ~seed:!seed (List.length results) in
       let layers =
-        obs_layers gc0
+        obs_layers ()
         @ [
             m "backend.apply_s" "s" (Trace.total "Backend.apply");
             m "coverage.requery_s" "s" (Trace.total "Coverage.vector requery");
@@ -784,10 +886,8 @@ let () =
         in
         Printf.printf "tracing overhead: traced learn_s minus untraced learn_s = %.6f s\n"
           overhead;
-        let path =
-          if !trace_out <> "" then !trace_out
-          else Printf.sprintf "trace-%s-%d.json" w.name !seed
-        in
+        if not (Sys.file_exists trace_dir) then Sys.mkdir trace_dir 0o755;
+        let path = Filename.concat trace_dir (Printf.sprintf "trace-%s-%d.json" w.name !seed) in
         Trace.write path;
         Printf.printf "chrome trace written to %s (%d spans)\n" path
           (List.length !Trace.events);
@@ -796,7 +896,7 @@ let () =
           @ [
               m "failed_share" "ratio" failed_share;
               m "trace.overhead_s" "s" overhead;
-              m "host.load_avg_1m" "load" !loadavg;
+              m "host.load_avg_1m" "load" loadavg;
             ]
         in
         List.iter (fun x -> Printf.printf "  %-34s %14.6f %s\n" x.mname x.value x.unit_) per_layer;

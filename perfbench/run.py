@@ -19,7 +19,6 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD_DIR = ".bench_build"
 EXE = os.path.join(ROOT, BUILD_DIR, "default", "perfbench", "main.exe")
-OUT_DIR = os.path.join(ROOT, "perfbench", "out")
 RUN_TIMEOUT_S = 170
 
 
@@ -46,11 +45,8 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     build()
-    os.makedirs(OUT_DIR, exist_ok=True)
-    trace_out = os.path.join(OUT_DIR, f"trace-{args.workload}-{args.seed}.json")
     cmd = [EXE, "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace),
-           "--loadavg", repr(os.getloadavg()[0]), "--trace-out", trace_out]
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
     try:
         proc = subprocess.run(cmd, cwd=ROOT, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
