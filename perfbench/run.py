@@ -3,16 +3,17 @@
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Workloads: hiv-large-learn, uwcse-schemas, uwcse-stream (see
-perfbench/main.ml). The executable is built with dune into
-.bench_build/ at the checkout root; the traced run (--trace 1) writes
-its Chrome trace-event file under perfbench/out/. The last line of
-standard output is the result object; the exit code is non-zero when
-the build or the run fails.
+Workloads: hiv-learn, uwcse-schemas (see perfbench/main.ml). The
+executable is built with dune into .bench_build/ at the checkout root;
+the traced run (--trace 1) writes its Chrome trace-event file under
+perfbench/out/. The last line of standard output is the result object;
+the exit code is non-zero when the build or the run fails.
 """
 
 import argparse
 import os
+import platform
+import shutil
 import subprocess
 import sys
 
@@ -37,6 +38,22 @@ def build():
         sys.exit(f"build failed (dune exit code {proc.returncode})")
 
 
+def no_aslr():
+    """The prefix that starts the benchmark with address-space layout
+    randomization off, so that every run lays out its heap alike; empty
+    where setarch is missing or may not change the personality."""
+    setarch = shutil.which("setarch")
+    if setarch is None:
+        return []
+    prefix = [setarch, platform.machine(), "-R"]
+    try:
+        ok = subprocess.run(prefix + ["true"], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL).returncode == 0
+    except OSError:
+        ok = False
+    return prefix if ok else []
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -45,7 +62,7 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     build()
-    cmd = [EXE, "--workload", args.workload, "--seed", str(args.seed),
+    cmd = no_aslr() + [EXE, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
     try:
         proc = subprocess.run(cmd, cwd=ROOT, timeout=RUN_TIMEOUT_S)
