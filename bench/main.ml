@@ -983,14 +983,23 @@ let all =
 (* Every experiment runs against a zeroed Obs registry and ends with
    its metrics block: the text rendering on stdout, the JSON dump in
    BENCH_<id>.json next to the working directory, so runs can be
-   diffed across commits. *)
+   diffed across commits. Experiments register their own
+   [bench.<id>.*] counters; those of experiments run earlier in the
+   same process are left out, so a dump is the same whether its
+   experiment ran alone or after others. *)
+let own_counter id name =
+  match String.split_on_char '.' name with
+  | "bench" :: exp :: _ -> String.equal exp id
+  | _ -> true
+
 let with_metrics id f =
   Obs.reset ();
   f ();
   Fmt.pr "@.-- Obs metrics: %s --@.%s@." id (Obs.report ());
   let path = Printf.sprintf "BENCH_%s.json" id in
   let oc = open_out path in
-  Printf.fprintf oc "{\"experiment\":\"%s\",\"metrics\":%s}\n" id (Obs.to_json ());
+  Printf.fprintf oc "{\"experiment\":\"%s\",\"metrics\":%s}\n" id
+    (Obs.to_json ~counters:(own_counter id) ());
   close_out oc;
   Fmt.pr "(metrics JSON written to %s)@." path
 

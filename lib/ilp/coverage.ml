@@ -29,8 +29,11 @@
     ({!Backend.subscribe}). When the source mutates, the next coverage
     query drains the pending deltas and {e patches} itself instead of
     rebuilding: the private saturation substrate absorbs the batch
-    ([Backend.apply]), only the examples whose neighborhood shares a
-    constant with a delta tuple are re-saturated, their facts are
+    ([Backend.apply]), only the examples a delta can reach are
+    re-saturated — those whose bottom clause holds a constant of a
+    delta tuple at a {e probe position}: a head argument, a column
+    whose domain is not in [no_expand_domains], or an IND attribute
+    ([affected_positions] argues soundness) — their facts are
     add/removed in place inside the eid-keyed example store, and
     memoized vectors are lazily re-tested at exactly the patched
     example positions. A full rebuild survives only as a fallback —
@@ -74,6 +77,10 @@ type t = {
           built on; {!set_backend} switches it *)
   expand : (string -> Tuple.t -> (string * Tuple.t) list) option;
   params : Bottom.params;
+  probes : (string, bool array) Hashtbl.t;
+      (** per relation, which columns are probe positions (see
+          [probe_positions]); fixed by the schema and [params], so
+          computed once in {!build} and shared, read-only, by {!sub} *)
   mutable ex_store : Backend.t option;
       (** backend holding the ground saturations, keyed by example id
           (column 0 of every relation) — the operand of the batched
@@ -153,6 +160,37 @@ let example_store ~spec inst (examples : Atom.t array)
     end
   end
 
+(* The probe positions of a saturation: the columns whose constants
+   it may look up. A frontier constant is looked up with
+   [tuples_containing], and constants enter the frontier from the head
+   and from body columns whose domain is not in [no_expand_domains];
+   the IND chase joins on the attributes of [Schema.ind]s, on either
+   side. Every other column (an "attribute" value such as a bond type)
+   is read but never probed. *)
+let probe_positions ~(params : Bottom.params) (schema : Schema.t) =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Schema.relation) ->
+      let rel = r.Schema.rname in
+      let ind_attrs =
+        List.concat_map
+          (fun (i : Schema.ind) ->
+            (if String.equal i.Schema.sub_rel rel then i.Schema.sub_attrs
+             else [])
+            @ if String.equal i.Schema.sup_rel rel then i.Schema.sup_attrs
+              else [])
+          (Schema.inds_of schema rel)
+      in
+      Hashtbl.replace tbl rel
+        (Array.of_list
+           (List.map
+              (fun (a : Schema.attribute) ->
+                (not (List.mem a.Schema.domain params.Bottom.no_expand_domains))
+                || List.mem a.Schema.aname ind_attrs)
+              r.Schema.attrs)))
+    schema.Schema.relations;
+  tbl
+
 let saturate_all ?expand ~params ~backend inst examples =
   Array.map
     (fun e -> Bottom.saturation ?expand ~backend ~params inst e)
@@ -163,7 +201,10 @@ let saturate_all ?expand ~params ~backend inst examples =
     storage substrate ({!Backend.spec}; default the sharded store)
     that both saturation neighborhood queries and the batched coverage
     kernel run against. The structure subscribes to [inst]'s delta
-    stream, so later mutations are absorbed incrementally. *)
+    stream, so later mutations are absorbed incrementally. [expand]
+    is the IND chase ({!Castor_core.Plan.expand}): incremental
+    refreshes rely on it joining only on the attributes of the
+    schema's INDs. *)
 let build ?expand ~params ?(max_steps = 250_000)
     ?(backend = Backend.default_spec) inst (examples : Atom.t array) =
   let source = Backend.of_instance inst in
@@ -186,6 +227,7 @@ let build ?expand ~params ?(max_steps = 250_000)
     spec = backend;
     expand;
     params;
+    probes = probe_positions ~params (Instance.schema inst);
     ex_store = example_store ~spec:backend inst examples bottoms;
     eids = Array.init (Array.length examples) Fun.id;
     batch_enabled = true;
@@ -247,9 +289,7 @@ let dirty_log_cap = 32
 
 (* ---------------- refresh: full fallback ---------------------------- *)
 
-(* Rebuild everything derived from the source instance, from scratch.
-   The planner's statistics memo is dropped too: it may hold
-   distinct counts stamped by the example store being replaced. *)
+(* Rebuild everything derived from the source instance, from scratch. *)
 let full_refresh t gen =
   Obs.Counter.incr c_full_refreshes;
   let data = Backend.load t.spec t.inst in
@@ -262,7 +302,6 @@ let full_refresh t gen =
   Hashtbl.reset t.cache;
   t.dirty_log <- [];
   t.log_floor <- gen;
-  Planner.invalidate_statistics ();
   t.src_gen <- gen
 
 (* ---------------- refresh: incremental patch ------------------------ *)
@@ -292,26 +331,42 @@ let patch_ex_store t i (old_b : Clause.t) (new_b : Clause.t) =
       put new_b.Clause.head;
       List.iter put new_b.Clause.body
 
-(* Conservative affectedness: example [i]'s saturation can only change
-   if a delta tuple shares a constant with its current neighborhood.
-   Sound in both directions: an added tuple enters the neighborhood
-   only through a lookup on an in-neighborhood constant (so it shares
-   one), and a removed tuple can only have participated in such a
-   lookup if it mentions an in-neighborhood constant — bottoms are
-   ground, so "neighborhood constants" is exactly the constants of
-   the bottom clause (head included). *)
+(* Precise affectedness: example [i]'s saturation can only change if
+   a delta tuple shares a constant with a probe position of its bottom
+   clause (every head argument; every body column that is expandable
+   or an IND attribute — see [probe_positions]). Sound in both
+   directions. Every lookup a saturation makes is keyed by a constant
+   that sits at a probe position of the result: a frontier constant
+   (head or expandable column of an admitted literal) for
+   [tuples_containing], an IND-attribute value of an admitted literal
+   for a chase join. Every tuple such a lookup returns contains the
+   key. So an added tuple can change the result only if it contains
+   some key, and a removed tuple only if a lookup returned it, i.e.
+   also if it contains some key; a delta sharing no constant with the
+   probe positions leaves every lookup, and hence the whole run,
+   unchanged. A [max_terms] budget retry is a prefix of the final run,
+   so its lookups are among the final run's. Constants at the other
+   columns ("attribute" values such as bond types, kept off the
+   frontier by [no_expand_domains]) are read but never looked up: a
+   delta that shares only those is unreachable. *)
 let affected_positions t ds =
   let dvals : (Value.t, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun d -> Array.iter (fun v -> Hashtbl.replace dvals v ()) (Delta.tuple d))
     ds;
-  let atom_touched (a : Atom.t) =
-    Array.exists
-      (function Term.Const v -> Hashtbl.mem dvals v | Term.Var _ -> false)
+  let hit = function
+    | Term.Const v -> Hashtbl.mem dvals v
+    | Term.Var _ -> false
+  in
+  let body_touched (a : Atom.t) =
+    Array.exists2
+      (fun probe arg -> probe && hit arg)
+      (Hashtbl.find t.probes a.Atom.rel)
       a.Atom.args
   in
   let clause_touched (c : Clause.t) =
-    atom_touched c.Clause.head || List.exists atom_touched c.Clause.body
+    Array.exists hit c.Clause.head.Atom.args
+    || List.exists body_touched c.Clause.body
   in
   Array.of_list
     (List.filter
@@ -402,6 +457,7 @@ let sub t idxs =
     spec = t.spec;
     expand = t.expand;
     params = t.params;
+    probes = t.probes;
     ex_store = t.ex_store;
     eids = Array.map (fun i -> t.eids.(i)) idxs;
     batch_enabled = t.batch_enabled;
@@ -431,16 +487,13 @@ let backend_spec t = t.spec
     store are rebuilt under [spec] and subsequent refreshes patch
     through them. Bottom clauses are canonical — independent of the
     serving backend — so they are kept; coverage semantics are
-    unchanged by construction. The planner's memoized statistics are
-    invalidated: they were stamped with the replaced store's
-    generations, which the fresh substrate restarts. *)
+    unchanged by construction. *)
 let set_backend t spec =
   if spec <> t.spec then begin
     t.spec <- spec;
     t.data <- Backend.load spec t.inst;
     t.ex_store <- example_store ~spec t.inst t.examples t.bottoms;
-    t.eids <- Array.init (Array.length t.examples) Fun.id;
-    Planner.invalidate_statistics ()
+    t.eids <- Array.init (Array.length t.examples) Fun.id
   end
 
 (** The example-saturation backend, when the kernel is available —

@@ -90,6 +90,7 @@ module Span = struct
     help : string;
     count : int Atomic.t;
     total_ns : int Atomic.t;
+    min_ns : int Atomic.t;  (** [max_int] while empty *)
     max_ns : int Atomic.t;
     buckets : int Atomic.t array;
   }
@@ -108,6 +109,7 @@ module Span = struct
               help;
               count = Atomic.make 0;
               total_ns = Atomic.make 0;
+              min_ns = Atomic.make max_int;
               max_ns = Atomic.make 0;
               buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
             }
@@ -129,14 +131,17 @@ module Span = struct
 
   let record_ns s ns =
     let ns = max 0 ns in
+    (* extremes first: a reader that sees the count sees them too *)
+    let rec bump better cell =
+      let cur = Atomic.get cell in
+      if better ns cur && not (Atomic.compare_and_set cell cur ns) then
+        bump better cell
+    in
+    bump ( < ) s.min_ns;
+    bump ( > ) s.max_ns;
     ignore (Atomic.fetch_and_add s.count 1);
     ignore (Atomic.fetch_and_add s.total_ns ns);
-    ignore (Atomic.fetch_and_add s.buckets.(bucket_of ns) 1);
-    let rec bump () =
-      let cur = Atomic.get s.max_ns in
-      if ns > cur && not (Atomic.compare_and_set s.max_ns cur ns) then bump ()
-    in
-    bump ()
+    ignore (Atomic.fetch_and_add s.buckets.(bucket_of ns) 1)
 
   let with_span s f =
     let t0 = now_ns () in
@@ -146,13 +151,18 @@ module Span = struct
 
   let total_s s = Float.of_int (Atomic.get s.total_ns) *. 1e-9
 
+  (* The bucket midpoint can lie outside the recorded range (a bucket
+     holding only its lowest values has its midpoint above them), so
+     the estimate is clamped to [min, max]. *)
   let quantile s q =
     let total = count s in
     if total = 0 then Float.nan
     else begin
       let rank = Float.to_int (ceil (q *. Float.of_int total)) in
       let rank = max 1 (min total rank) in
-      let acc = ref 0 and result = ref (Float.of_int (Atomic.get s.max_ns)) in
+      let lo = Float.of_int (Atomic.get s.min_ns)
+      and hi = Float.of_int (Atomic.get s.max_ns) in
+      let acc = ref 0 and result = ref hi in
       (try
          for i = 0 to n_buckets - 1 do
            acc := !acc + Atomic.get s.buckets.(i);
@@ -162,14 +172,18 @@ module Span = struct
            end
          done
        with Exit -> ());
-      !result *. 1e-9
+      Float.min hi (Float.max lo !result) *. 1e-9
     end
+
+  let min_s s =
+    if count s = 0 then 0. else Float.of_int (Atomic.get s.min_ns) *. 1e-9
 
   let max_s s = Float.of_int (Atomic.get s.max_ns) *. 1e-9
 
   let reset s =
     Atomic.set s.count 0;
     Atomic.set s.total_ns 0;
+    Atomic.set s.min_ns max_int;
     Atomic.set s.max_ns 0;
     Array.iter (fun b -> Atomic.set b 0) s.buckets
 
@@ -330,7 +344,7 @@ let json_escape s =
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
 
-let to_json () =
+let to_json ?(counters = fun _ -> true) () =
   flush ();
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -341,7 +355,7 @@ let to_json () =
         (if i > 0 then "," else "")
         (json_escape c.Counter.name)
         (Atomic.get c.Counter.total))
-    !Counter.registered;
+    (List.filter (fun c -> counters c.Counter.name) !Counter.registered);
   pf "},\"spans\":[";
   List.iteri
     (fun i s ->

@@ -66,8 +66,13 @@ module Span : sig
   (** [quantile s q] approximates the [q]-quantile (0 ≤ q ≤ 1) of the
       recorded durations in seconds, from the log-bucketed histogram
       (the estimate is the geometric midpoint of the bucket containing
-      the rank, so it is within a factor √2). NaN when empty. *)
+      the rank, so it is within a factor √2), clamped to
+      [[min_s s, max_s s]]; it never falls as [q] rises. NaN when
+      empty. *)
   val quantile : t -> float -> float
+
+  (** Smallest recorded duration in seconds; 0 when empty. *)
+  val min_s : t -> float
 
   (** Largest recorded duration in seconds; 0 when empty. *)
   val max_s : t -> float
@@ -110,5 +115,6 @@ val reset : unit -> unit
 val report : unit -> string
 
 (** The full registry as a JSON object:
-    [{"counters":{...},"spans":[...],"reservoirs":[...]}]. *)
-val to_json : unit -> string
+    [{"counters":{...},"spans":[...],"reservoirs":[...]}]. [counters]
+    selects which counters, by name, are written (default: all). *)
+val to_json : ?counters:(string -> bool) -> unit -> string

@@ -224,6 +224,40 @@ let span_suite =
         let s = Obs.Span.create "test.span_empty" in
         Obs.Span.reset s;
         check Alcotest.bool "nan" true (Float.is_nan (Obs.Span.quantile s 0.5)));
+    tc "a lone sample low in its bucket is its own quantile" (fun () ->
+        let s = Obs.Span.create "test.span_lone" in
+        Obs.Span.reset s;
+        (* 600 ns sits in bucket [512, 1024), whose midpoint is 724 *)
+        Obs.Span.record_ns s 600;
+        check (Alcotest.float 1e-15) "p50 = the sample" 600e-9
+          (Obs.Span.quantile s 0.5);
+        check (Alcotest.float 1e-15) "p99 = the sample" 600e-9
+          (Obs.Span.quantile s 0.99));
+    qt ~count:200 "a quantile stays within [min, max]"
+      QCheck2.Gen.(
+        pair
+          (list_size (int_range 1 40) (int_range 0 100_000_000))
+          (float_bound_inclusive 1.0))
+      (fun (samples, q) ->
+        (* one span reused across cases: [reset] must forget the min *)
+        let s = Obs.Span.create "test.span_prop_range" in
+        Obs.Span.reset s;
+        List.iter (Obs.Span.record_ns s) samples;
+        let lo = Obs.Span.min_s s and hi = Obs.Span.max_s s in
+        let v = Obs.Span.quantile s q in
+        lo = Float.of_int (List.fold_left min max_int samples) *. 1e-9
+        && lo <= v && v <= hi);
+    qt ~count:200 "a quantile does not fall as q rises"
+      QCheck2.Gen.(
+        triple
+          (list_size (int_range 1 40) (int_range 0 100_000_000))
+          (float_bound_inclusive 1.0) (float_bound_inclusive 1.0))
+      (fun (samples, q1, q2) ->
+        let s = Obs.Span.create "test.span_prop_monotone" in
+        Obs.Span.reset s;
+        List.iter (Obs.Span.record_ns s) samples;
+        Obs.Span.quantile s (Float.min q1 q2)
+        <= Obs.Span.quantile s (Float.max q1 q2));
   ]
 
 let reservoir_suite =
